@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -108,7 +109,7 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	// FramesPerSec and P99LatencyNs are set only by the gateway
-	// sustained-throughput benchmarks (via testing's ReportMetric).
+	// sustained-throughput benchmark (via testing's ReportMetric).
 	// FramesPerSec is additionally gated on -compare: a pinned benchmark
 	// whose sustained throughput drops beyond the threshold fails.
 	FramesPerSec float64 `json:"frames_per_sec,omitempty"`
@@ -161,7 +162,7 @@ func runSuite(filter *regexp.Regexp) *Report {
 
 // compareReports prints a benchstat-style delta table and returns the number
 // of gate failures.
-func compareReports(w *os.File, old, cur *Report, threshold float64) int {
+func compareReports(w io.Writer, old, cur *Report, threshold float64) int {
 	oldByName := map[string]Result{}
 	for _, b := range old.Benchmarks {
 		oldByName[b.Name] = b

@@ -58,26 +58,21 @@ func suite() []benchmark {
 		{Name: "BenchmarkBackendDispatch", PinNs: true, PinAllocs: true, Fn: benchBackendDispatch},
 		{Name: "BenchmarkDecodeTwoUserCollision", PinNs: true, Fn: benchDecodeTwoUser},
 		{Name: "BenchmarkDecodeEightUserCollision", PinNs: true, Fn: benchDecodeEightUser},
-		{Name: "BenchmarkGatewaySerial", PinNs: true, Fn: benchGatewaySerial},
-		{Name: "BenchmarkGatewaySustained", PinNs: true, Fn: benchGatewaySustained},
+		{Name: "BenchmarkGatewaySerial", PinNs: true, Fn: benchGatewayFrames},
 		{Name: "BenchmarkHeadline", PinNs: true, Fn: benchHeadline},
 		{Name: "BenchmarkCityScale", PinNs: true, Fn: benchCityScale},
 		{Name: "BenchmarkCityScaleInterfere", PinNs: true, Fn: benchCityScaleInterfere},
 	}
 }
 
-func benchGatewaySerial(b *testing.B)    { benchGatewayFrames(b, 1) }
-func benchGatewaySustained(b *testing.B) { benchGatewayFrames(b, 8) }
-
-// benchGatewayFrames is the sustained-throughput measurement behind both
-// gateway benchmarks: push b.N identical two-user collision frames through a
-// full gateway (queue, workers, ladder) and drain it, with metrics recording
-// on so the gateway.frame_latency_ns histogram captures enqueue-to-outcome
-// latency. batch=1 is the pre-batching serial path; batch=8 drains worker
-// wakeups through the batched first rung. Reports frames/sec and the p99
-// latency alongside ns/op so -compare can gate sustained throughput, not
-// just per-op cost.
-func benchGatewayFrames(b *testing.B, batch int) {
+// benchGatewayFrames is the sustained-throughput measurement behind
+// BenchmarkGatewaySerial: push b.N identical two-user collision frames
+// through a full gateway (queue, workers, ladder) and drain it, with metrics
+// recording on so the gateway.frame_latency_ns histogram captures
+// enqueue-to-outcome latency. Reports frames/sec and the p99 latency
+// alongside ns/op so -compare can gate sustained throughput, not just
+// per-op cost.
+func benchGatewayFrames(b *testing.B) {
 	p := lora.DefaultParams()
 	p.SF = lora.SF7
 	sc := sim.Scenario{Params: p, PayloadLen: 4, SNRsDB: []float64{15, 12}, Seed: 3}
@@ -88,7 +83,7 @@ func benchGatewayFrames(b *testing.B, batch int) {
 	obs.Enable()
 	defer obs.Disable()
 	g, err := gateway.New(gateway.Config{
-		Queue: 256, Seed: 11, Batch: batch, BackoffBase: time.Microsecond,
+		Queue: 256, Seed: 11, BackoffBase: time.Microsecond,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -43,7 +43,7 @@
 //
 //	choir-gatewayd night/*.iq
 //	choir-gatewayd -listen :7373
-//	choir-gatewayd -listen-stream :7374 -conn-timeout 10s -batch 8
+//	choir-gatewayd -listen-stream :7374 -conn-timeout 10s
 //	choir-gatewayd -listen :7373 -queue 128 -shed-policy drop-oldest
 //	choir-gatewayd -decode-timeout 2s -max-retries 2 captures/
 //	choir-gatewayd -ladder superposed,strongest night/*.iq
@@ -101,7 +101,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	listenStream := fs.String("listen-stream", "", "framed streaming TCP ingest address; decode starts before the last sample arrives")
 	connTimeout := fs.Duration("conn-timeout", 30*time.Second, "per-connection I/O deadline on the TCP ingest sockets (0 = none)")
 	maxConns := fs.Int("max-conns", 64, "concurrent TCP ingest connections before new ones are shed")
-	batch := fs.Int("batch", 1, "frames a worker decodes per wakeup through the batched first rung (1 = off)")
 	queue := fs.Int("queue", 64, "bounded ingest queue depth")
 	shedPolicy := fs.String("shed-policy", "block", "full-queue policy: block, drop-oldest, or reject")
 	workers := fs.Int("workers", 0, "decode workers (0 = all CPUs)")
@@ -156,6 +155,11 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if *breakerThreshold <= 0 {
+		// Config.BreakerThreshold reads 0 as "use the default"; only a
+		// negative value disables the breakers.
+		*breakerThreshold = -1
+	}
 
 	dumpMetrics, stopDebug, err := obs.StartCLI(*metrics, *metricsOut, *debugAddr)
 	if err != nil {
@@ -180,7 +184,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		BreakerCooldown:  *breakerCooldown,
 		Seed:             *seed,
 		Ladder:           rungs,
-		Batch:            *batch,
 		MaxConns:         *maxConns,
 		ConnTimeout:      *connTimeout,
 		JournalDir:       *journalDir,

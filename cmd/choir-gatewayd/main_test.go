@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -70,6 +71,34 @@ func TestRunFileMode(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "accepted 2, decoded 2") {
 		t.Errorf("summary missing from stderr: %s", stderr.String())
+	}
+}
+
+// TestRunBreakerThresholdZeroDisables pins the -breaker-threshold help
+// text: 0 disables the breakers, so a run of undecodable frames attempts
+// every one of them instead of shedding the tail as circuit-broken.
+func TestRunBreakerThresholdZeroDisables(t *testing.T) {
+	dir := t.TempDir()
+	p := lora.DefaultParams()
+	p.SF = lora.SF7
+	for i := 0; i < 12; i++ {
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("empty%02d.iq", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = trace.Write(f, trace.Header{Params: p, PayloadLen: 4}, nil)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	run(context.Background(), []string{"-ladder", "strongest", "-breaker-threshold", "0", "-backoff", "1us", dir}, &stdout, &stderr)
+	if n := strings.Count(stdout.String(), "frame "); n != 12 {
+		t.Fatalf("got %d outcome lines, want 12\nstdout: %s\nstderr: %s", n, stdout.String(), stderr.String())
+	}
+	if strings.Contains(stdout.String(), "circuit-broken") {
+		t.Errorf("-breaker-threshold 0 still tripped a breaker:\n%s", stdout.String())
 	}
 }
 
@@ -179,7 +208,7 @@ func TestRunTCPStreamMode(t *testing.T) {
 	var stdout, stderr syncBuffer
 	exit := make(chan int, 1)
 	go func() {
-		exit <- run(ctx, []string{"-listen-stream", "127.0.0.1:0", "-batch", "4", "-conn-timeout", "5s", "-backoff", "1us"}, &stdout, &stderr)
+		exit <- run(ctx, []string{"-listen-stream", "127.0.0.1:0", "-conn-timeout", "5s", "-backoff", "1us"}, &stdout, &stderr)
 	}()
 
 	var addr string

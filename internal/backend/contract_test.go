@@ -2,7 +2,7 @@ package backend_test
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -54,73 +54,43 @@ func sameErr(t *testing.T, label string, got, want error) {
 	}
 }
 
-// TestDecodeBatchMatchesSerialForEveryBackend pins the BatchDecoder
-// capability contract registry-wide: for every registered backend, a batch
-// of frames (including a malformed one that fails per-item) produces exactly
-// the Res/Err sequence the serial Reseed+DecodeCtxInto loop produces —
-// whether the backend implements the capability or takes the fallback path.
-func TestDecodeBatchMatchesSerialForEveryBackend(t *testing.T) {
+// TestReusedBackendMatchesFreshForEveryBackend pins the reuse contract
+// backend.Pool relies on, registry-wide: one instance reseeded per frame
+// decodes every frame — including a malformed one that fails — exactly as a
+// fresh instance given the same seed, whatever it decoded before.
+func TestReusedBackendMatchesFreshForEveryBackend(t *testing.T) {
 	h, samples := loadFixture(t, "collide2_sf7")
-	short := samples[:10]
+	frames := [][]complex128{samples, samples[:10], samples}
 	for _, name := range backend.Names() {
 		t.Run(name, func(t *testing.T) {
-			mk := func() []backend.BatchItem {
-				return []backend.BatchItem{
-					{Samples: samples, PayloadLen: h.PayloadLen, Seed: 101, Res: &choir.Result{}},
-					{Samples: short, PayloadLen: h.PayloadLen, Seed: 102, Res: &choir.Result{}},
-					{Samples: samples, PayloadLen: h.PayloadLen, Seed: 103, Res: &choir.Result{}},
-				}
-			}
-			serialB := backend.MustNew(name, h.Params)
-			want := mk()
-			for i := range want {
-				serialB.Reseed(want[i].Seed)
-				want[i].Err = serialB.DecodeCtxInto(context.Background(), want[i].Res, want[i].Samples, want[i].PayloadLen)
-			}
+			reused := backend.MustNew(name, h.Params)
+			for i, frame := range frames {
+				seed := uint64(101 + i)
+				fresh := backend.MustNew(name, h.Params)
+				fresh.Reseed(seed)
+				want := &choir.Result{}
+				wantErr := fresh.DecodeCtxInto(context.Background(), want, frame, h.PayloadLen)
 
-			batchB := backend.MustNew(name, h.Params)
-			got := mk()
-			if err := backend.DecodeBatch(context.Background(), batchB, got); err != nil {
-				t.Fatalf("DecodeBatch: %v", err)
-			}
-			for i := range want {
-				sameErr(t, name, got[i].Err, want[i].Err)
-				if want[i].Err == nil {
-					sameResult(t, name, got[i].Res, want[i].Res)
+				reused.Reseed(seed)
+				got := &choir.Result{}
+				gotErr := reused.DecodeCtxInto(context.Background(), got, frame, h.PayloadLen)
+
+				label := fmt.Sprintf("%s frame %d", name, i)
+				sameErr(t, label, gotErr, wantErr)
+				if wantErr == nil {
+					sameResult(t, label, got, want)
 				}
 			}
 		})
 	}
 }
 
-// TestDecodeBatchCanceledContextStopsBetweenItems: a fired context surfaces
-// as the batch-level error and leaves undone items untouched.
-func TestDecodeBatchCanceledContextStopsBetweenItems(t *testing.T) {
-	h, samples := loadFixture(t, "single_sf7")
-	b := backend.MustNew("choir", h.Params)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	items := []backend.BatchItem{
-		{Samples: samples, PayloadLen: h.PayloadLen, Seed: 1, Res: &choir.Result{}},
-	}
-	err := backend.DecodeBatch(ctx, b, items)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if items[0].Err != nil || len(items[0].Res.Users) != 0 {
-		t.Fatalf("canceled batch touched item: err=%v users=%d", items[0].Err, len(items[0].Res.Users))
-	}
-}
-
-// TestChoirBackendImplementsCapabilities: the Choir-pipeline backends
-// advertise both optional capabilities, and the streaming one is
-// bit-identical to the serial decode of the completed frame.
+// TestChoirBackendImplementsCapabilities: the Choir-pipeline backend
+// advertises the streaming capability, and it is bit-identical to the
+// serial decode of the completed frame.
 func TestChoirBackendImplementsCapabilities(t *testing.T) {
 	h, samples := loadFixture(t, "collide2_sf7")
 	b := backend.MustNew("choir", h.Params)
-	if _, ok := b.(backend.BatchDecoder); !ok {
-		t.Fatal("choir backend does not implement BatchDecoder")
-	}
 	sd, ok := b.(backend.StreamDecoder)
 	if !ok {
 		t.Fatal("choir backend does not implement StreamDecoder")

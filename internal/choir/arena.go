@@ -46,7 +46,7 @@ func (s *slab[T]) takeCap(n int) []T {
 		s.spill += n
 		return make([]T, 0, n)
 	}
-	out := s.buf[s.off:s.off : s.off+n]
+	out := s.buf[s.off : s.off : s.off+n]
 	s.off += n
 	return out
 }

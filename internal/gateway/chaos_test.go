@@ -72,21 +72,8 @@ func loadChaosFixtures(t *testing.T) []chaosFixture {
 // drop-oldest shedding, and a mid-run hard stop. The gateway must survive
 // with zero panics, account for every accepted frame with exactly one
 // terminal outcome, surface only taxonomy-typed errors, and leak no
-// goroutines — whatever backend ladder it runs (see chaosLadder), on both
-// the per-frame worker path and the mini-batched one.
+// goroutines — whatever backend ladder it runs (see chaosLadder).
 func TestChaosGatewaySmoke(t *testing.T) {
-	for _, leg := range []struct {
-		name  string
-		batch int
-	}{
-		{"serial", 1},
-		{"batch4", 4},
-	} {
-		t.Run(leg.name, func(t *testing.T) { runChaosSmoke(t, leg.batch) })
-	}
-}
-
-func runChaosSmoke(t *testing.T, batch int) {
 	fixtures := loadChaosFixtures(t)
 	chain := fault.Chain{
 		fault.MustNew(fault.Clip, 0.6),
@@ -107,7 +94,6 @@ func runChaosSmoke(t *testing.T, batch int) {
 		BreakerThreshold: 4,
 		BreakerCooldown:  3,
 		Ladder:           chaosLadder(t),
-		Batch:            batch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,6 +198,7 @@ func typedCause(err error) bool {
 		ErrNoPayloads,
 		ErrDecodePanic,
 		ErrStreamAborted,
+		ErrCircuitBroken,
 	} {
 		if errors.Is(err, sentinel) {
 			return true
@@ -246,7 +233,6 @@ func TestChaosStreamingIngest(t *testing.T) {
 		BreakerThreshold: 4,
 		BreakerCooldown:  3,
 		Ladder:           chaosLadder(t),
-		Batch:            2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,6 +36,11 @@ var (
 	// attempt's error.
 	ErrLadderExhausted = errors.New("gateway: recovery ladder exhausted")
 
+	// ErrCircuitBroken is the cause an exhausted ladder wraps when every
+	// rung it reached was skipped by an open circuit breaker, so no decode
+	// attempt produced an error of its own.
+	ErrCircuitBroken = errors.New("gateway: all rungs circuit-broken")
+
 	// ErrStreamAborted reports a streaming frame whose connection died
 	// before the full capture arrived. The ladder stops immediately — the
 	// samples will never complete — and the failure does not count against

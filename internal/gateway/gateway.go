@@ -48,7 +48,7 @@ type Config struct {
 	MaxAttempts int
 	// BackoffBase is the first retry's base delay; retry k waits
 	// BackoffBase << (k-2) with ±50% seeded jitter, capped at 1s
-	// (default 2ms; 0 disables backoff sleeps).
+	// (default 0: no backoff sleeps).
 	BackoffBase time.Duration
 	// BreakerThreshold is the consecutive-failure count that trips a
 	// stage's circuit breaker (default 8; negative disables breakers).
@@ -66,18 +66,6 @@ type Config struct {
 	// depend only on (Seed, frame ID, rung index) — never on timing or
 	// worker count.
 	Seed uint64
-	// Batch is the most frames one worker drains from the queue and decodes
-	// per wakeup (default 1: no batching). Above 1, queued frames are decoded
-	// through the first rung's BatchDecoder capability when the backend has
-	// one, keeping FFT plans and the spectral grid hot across frames; each
-	// frame's outcome is exactly what the serial ladder would have produced
-	// (same seeds, same rung walk on failure). Two caveats: DecodeTimeout
-	// bounds the whole first-rung batch rather than each frame's attempt,
-	// and breaker bookkeeping is batched — a batch checks the first rung's
-	// breaker for all of its frames before any of their results are
-	// recorded, so a trip can land a few frames later than it would have in
-	// strict serial order.
-	Batch int
 	// MaxConns caps concurrent TCP ingest connections (default 64). Accepts
 	// beyond the cap are shed: counted on gateway.conn.shed, told
 	// "error: too many connections", and closed without reading the trace.
@@ -136,9 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if len(c.Ladder) == 0 {
 		c.Ladder = DefaultLadder()
-	}
-	if c.Batch <= 0 {
-		c.Batch = 1
 	}
 	if c.MaxConns <= 0 {
 		c.MaxConns = 64
@@ -548,15 +533,11 @@ func (g *Gateway) journalAbandon(f *Frame) {
 }
 
 // worker is one decode goroutine: dequeue, run the recovery ladder, emit
-// the terminal outcome. With Config.Batch > 1 it drains up to Batch queued
-// frames per wakeup (never blocking for more) and decodes them as one
-// first-rung batch, falling back to the per-frame ladder for whatever the
-// batch path cannot take. On shutdown it first helps flush still-queued
+// the terminal outcome. On shutdown it first helps flush still-queued
 // frames as shed outcomes so the exactly-one-outcome invariant holds
 // through a hard stop.
 func (g *Gateway) worker() {
 	defer g.wg.Done()
-	var batch []*Frame // worker-local; reused across wakeups
 	for {
 		select {
 		case <-g.ctx.Done():
@@ -565,23 +546,7 @@ func (g *Gateway) worker() {
 		case f := <-g.queue:
 			g.signalSpace()
 			tQueueWait.Hist().Observe(time.Since(f.enqueued).Nanoseconds())
-			if g.cfg.Batch <= 1 {
-				g.finish(f, g.decodeLadder(f))
-				continue
-			}
-			batch = append(batch[:0], f)
-			for len(batch) < g.cfg.Batch {
-				select {
-				case more := <-g.queue:
-					g.signalSpace()
-					tQueueWait.Hist().Observe(time.Since(more.enqueued).Nanoseconds())
-					batch = append(batch, more)
-					continue
-				default:
-				}
-				break
-			}
-			g.processBatch(batch)
+			g.finish(f, g.decodeLadder(f))
 		}
 	}
 }
@@ -659,12 +624,15 @@ func (g *Gateway) emit(f *Frame, o Outcome) {
 		g.shed.Add(1)
 	}
 	g.outcomes <- o
+	left := g.pending.Add(-1)
 	if g.admission != nil {
 		// Under admission control, capacity frees at the terminal outcome
-		// (pending), not at dequeue — wake a ShedBlock waiter here too.
+		// (pending), not at dequeue — wake a ShedBlock waiter here too. The
+		// pulse must follow the decrement: a waiter woken before it would
+		// re-check a still-full window and park with no pulse left to come.
 		g.signalSpace()
 	}
-	if g.pending.Add(-1) == 0 {
+	if left == 0 {
 		select {
 		case g.idle <- struct{}{}:
 		default:

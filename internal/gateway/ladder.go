@@ -172,23 +172,15 @@ func (b *breaker) isTripped() bool {
 // attempts it sleeps a seeded exponential backoff with jitter, cancelable
 // by the gateway context. Breaker-skipped rungs do not consume attempts.
 func (g *Gateway) decodeLadder(f *Frame) Outcome {
-	return g.runLadder(f, 0, 0, nil)
-}
-
-// runLadder is the ladder walk itself, resumable mid-ladder: startIdx is the
-// first rung index to consider, attempt the count of attempts already
-// consumed, and lastErr the most recent attempt's failure. decodeLadder is
-// runLadder(f, 0, 0, nil); the batch path replays a first-rung outcome and
-// resumes at runLadder(f, 1, ...) so a batched frame walks the exact rung
-// sequence, seeds and backoff schedule the serial ladder would have used.
-func (g *Gateway) runLadder(f *Frame, startIdx, attempt int, lastErr error) Outcome {
 	o := Outcome{FrameID: f.ID, Source: f.Source}
 	// Backoff jitter is seeded per frame so a replay of the same capture
 	// sequence schedules identically; it never influences decode results.
 	rng := rand.New(rand.NewPCG(g.cfg.Seed^f.ID, 0xBAC0FF))
 	last := len(g.rungs) - 1
+	attempt := 0
+	var lastErr error
 
-	for idx := startIdx; attempt < g.cfg.MaxAttempts; idx++ {
+	for idx := 0; attempt < g.cfg.MaxAttempts; idx++ {
 		stage := Stage(min(idx, last))
 		r := g.rungs[stage]
 		allowed, wasSkip := r.breaker.allow()
@@ -249,21 +241,13 @@ func (g *Gateway) runLadder(f *Frame, startIdx, attempt int, lastErr error) Outc
 			break
 		}
 	}
-	return g.failedOutcome(f, attempt, lastErr)
-}
-
-// failedOutcome builds the terminal OutcomeFailed for a frame whose ladder
-// walk ended after the given attempt count. A nil lastErr means every rung
-// was breaker-skipped before a single attempt ran.
-func (g *Gateway) failedOutcome(f *Frame, attempt int, lastErr error) Outcome {
 	if lastErr == nil {
-		lastErr = errors.New("all rungs circuit-broken")
+		lastErr = ErrCircuitBroken
 	}
-	return Outcome{
-		FrameID: f.ID, Source: f.Source, Kind: OutcomeFailed,
-		Attempts: attempt,
-		Err:      fmt.Errorf("%w: %w", ErrLadderExhausted, lastErr),
-	}
+	o.Kind = OutcomeFailed
+	o.Attempts = attempt
+	o.Err = fmt.Errorf("%w: %w", ErrLadderExhausted, lastErr)
+	return o
 }
 
 // backoff sleeps the exponential-with-jitter delay before attempt k (k >=

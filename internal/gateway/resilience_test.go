@@ -2,20 +2,15 @@ package gateway
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"math"
 	"net"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"choir/internal/obs"
-	"choir/internal/trace"
 )
 
 // waitNoLeaks waits for the goroutine count to fall back to baseline.
@@ -179,77 +174,4 @@ func TestIngestFilesEmptyDirErrNoTraces(t *testing.T) {
 	done := collectOutcomes(g)
 	_ = g.Drain(canceledCtx())
 	<-done
-}
-
-// TestBatchedOutcomesMatchSerial pins the batched tentpole's outcome
-// contract: the same frame sequence through a Batch=8 gateway and a serial
-// one (same seed, breakers disabled so bookkeeping order can't shift
-// trips) yields identical per-frame outcomes — kind, stage, backend,
-// attempt counts, users, payload bytes, and error text.
-func TestBatchedOutcomesMatchSerial(t *testing.T) {
-	type input struct {
-		src string
-		h   trace.Header
-		sig []complex128
-	}
-	var inputs []input
-	for i := 0; i < 6; i++ {
-		h, sig, _ := synthFrame(uint64(i + 1))
-		inputs = append(inputs, input{fmt.Sprintf("frame-%d", i), h, sig})
-	}
-	// A malformed short frame and a non-finite one ride along so the batch
-	// path's per-item error propagation is exercised too.
-	inputs[2].sig = inputs[2].sig[:10]
-	bad := append([]complex128(nil), inputs[4].sig...)
-	bad[len(bad)/2] = complex(math.NaN(), 0)
-	inputs[4].sig = bad
-
-	run := func(batch int) []Outcome {
-		g, err := New(Config{
-			Queue: 16, Workers: 1, Seed: 77, Batch: batch,
-			MaxAttempts: 3, BackoffBase: time.Microsecond,
-			BreakerThreshold: -1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := collectOutcomes(g)
-		for _, in := range inputs {
-			if _, err := g.Submit(nil, in.src, in.h, in.sig); err != nil {
-				t.Fatalf("submit %s: %v", in.src, err)
-			}
-		}
-		if err := g.Drain(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		outs := <-done
-		sort.Slice(outs, func(i, j int) bool { return outs[i].FrameID < outs[j].FrameID })
-		return outs
-	}
-
-	serial := run(1)
-	batched := run(8)
-	if len(serial) != len(inputs) || len(batched) != len(inputs) {
-		t.Fatalf("outcome counts: serial %d, batched %d, want %d", len(serial), len(batched), len(inputs))
-	}
-	for i := range serial {
-		s, b := serial[i], batched[i]
-		if s.FrameID != b.FrameID || s.Kind != b.Kind || s.Stage != b.Stage ||
-			s.Backend != b.Backend || s.Attempts != b.Attempts || s.Users != b.Users {
-			t.Errorf("frame %d: batched %+v != serial %+v", s.FrameID, b, s)
-			continue
-		}
-		if (s.Err == nil) != (b.Err == nil) || (s.Err != nil && s.Err.Error() != b.Err.Error()) {
-			t.Errorf("frame %d: batched err %v != serial err %v", s.FrameID, b.Err, s.Err)
-		}
-		if len(s.Payloads) != len(b.Payloads) {
-			t.Errorf("frame %d: payload counts %d != %d", s.FrameID, len(b.Payloads), len(s.Payloads))
-			continue
-		}
-		for j := range s.Payloads {
-			if !bytes.Equal(s.Payloads[j], b.Payloads[j]) {
-				t.Errorf("frame %d payload %d: %x != %x", s.FrameID, j, b.Payloads[j], s.Payloads[j])
-			}
-		}
-	}
 }
