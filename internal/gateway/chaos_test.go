@@ -72,8 +72,13 @@ func loadChaosFixtures(t *testing.T) []chaosFixture {
 // drop-oldest shedding, and a mid-run hard stop. The gateway must survive
 // with zero panics, account for every accepted frame with exactly one
 // terminal outcome, surface only taxonomy-typed errors, and leak no
-// goroutines — whatever backend ladder it runs (see chaosLadder).
+// goroutines — whatever backend ladder it runs (see chaosLadder). The soak
+// runs on the per-frame worker path, the gateway's only one.
 func TestChaosGatewaySmoke(t *testing.T) {
+	t.Run("serial", runChaosSmoke)
+}
+
+func runChaosSmoke(t *testing.T) {
 	fixtures := loadChaosFixtures(t)
 	chain := fault.Chain{
 		fault.MustNew(fault.Clip, 0.6),
