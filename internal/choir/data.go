@@ -208,7 +208,7 @@ func (d *Decoder) mlSymbolPass(samples []complex128, off, w int, peaks []peakObs
 		copy(tones[ui], resid)
 		for i, pk := range peaks {
 			if pk.user == ui {
-				addTone(tones[ui], offs[i]/float64(d.n), joint[i])
+				subtractTone(tones[ui], offs[i]/float64(d.n), -joint[i])
 			}
 		}
 	}
@@ -233,14 +233,6 @@ func (d *Decoder) mlSymbolPass(samples []complex128, off, w int, peaks []peakObs
 				u.Symbols[w] = best
 			}
 		}
-	}
-}
-
-// addTone adds h·e^{j2πfn} to x in place (f in cycles/sample).
-func addTone(x []complex128, f float64, h complex128) {
-	for i := range x {
-		s, c := math.Sincos(2 * math.Pi * f * float64(i))
-		x[i] += h * complex(c, s)
 	}
 }
 
@@ -310,10 +302,9 @@ func (d *Decoder) fitSegments(dech []complex128, regs []segReg) []complex128 {
 	}
 	e := d.lsWS.DesignMatrix(d.n, k)
 	for j, r := range regs {
-		cyc := r.f / float64(d.n)
+		rot := newRotator(r.f/float64(d.n), r.lo)
 		for i := r.lo; i < r.hi; i++ {
-			s, c := math.Sincos(2 * math.Pi * cyc * float64(i))
-			e.Set(i, j, complex(c, s))
+			e.Set(i, j, rot.next())
 		}
 	}
 	hs, err := d.lsWS.LeastSquaresInto(e, dech)
@@ -324,9 +315,9 @@ func (d *Decoder) fitSegments(dech []complex128, regs []segReg) []complex128 {
 		}
 		for j, r := range regs {
 			var sum complex128
+			rot := newRotator(-r.f/float64(d.n), r.lo)
 			for i := r.lo; i < r.hi; i++ {
-				s, c := math.Sincos(-2 * math.Pi * r.f / float64(d.n) * float64(i))
-				sum += dech[i] * complex(c, s)
+				sum += dech[i] * rot.next()
 			}
 			if n := r.hi - r.lo; n > 0 {
 				hs[j] = sum / complex(float64(n), 0)
@@ -337,10 +328,9 @@ func (d *Decoder) fitSegments(dech []complex128, regs []segReg) []complex128 {
 }
 
 func subtractSeg(x []complex128, r segReg, h complex128, n int) {
-	cyc := r.f / float64(n)
+	rot := newRotator(r.f/float64(n), r.lo)
 	for i := r.lo; i < r.hi; i++ {
-		s, c := math.Sincos(2 * math.Pi * cyc * float64(i))
-		x[i] -= h * complex(c, s)
+		x[i] -= h * rot.next()
 	}
 }
 
@@ -434,9 +424,9 @@ func (d *Decoder) accumulateBoundaryScan(work []complex128, offset float64, symP
 	}
 	prefInto := func(dst []complex128, f float64) []complex128 {
 		dst[0] = 0
+		r := newRotator(-f, 0)
 		for i := 0; i < d.n; i++ {
-			s, c := math.Sincos(-2 * math.Pi * f * float64(i))
-			dst[i+1] = dst[i] + work[i]*complex(c, s)
+			dst[i+1] = dst[i] + work[i]*r.next()
 		}
 		return dst
 	}
@@ -637,7 +627,7 @@ func (d *Decoder) refinePeakPositions(samples []complex128, off int, out []peakO
 	}
 	for sweep := 0; sweep < 2; sweep++ {
 		for i := range out {
-			d.addSegments(residual, offs[i], models[i].h1, models[i].h2, models[i].i0)
+			d.subtractSegments(residual, offs[i], -models[i].h1, -models[i].h2, models[i].i0)
 			// Golden-refine this peak's frequency on its cleaned signal:
 			// the two-segment fit gates out the adjacent symbol's segment,
 			// so the refined position is free of both other-user leakage

@@ -51,10 +51,9 @@ var decisionGrid = []struct {
 }
 
 const (
-	faultSNR          = 12.0
-	decisionPayload   = 4
-	decisionSpreadDB  = 12.0 // near-far span between a case's strongest and weakest user
-	decisionsFileName = "decisions.txt"
+	faultSNR         = 12.0
+	decisionPayload  = 4
+	decisionSpreadDB = 12.0 // near-far span between a case's strongest and weakest user
 )
 
 var faultRates = []float64{0.02, 0.2, 0.5}
@@ -202,7 +201,7 @@ const decisionsHeader = `# Decision-equivalence corpus for internal/choir (see d
 `
 
 func TestDecisionCorpus(t *testing.T) {
-	path := filepath.Join("testdata", decisionsFileName)
+	path := filepath.Join("testdata", "decisions.txt")
 	cases := decisionCases()
 	if *update {
 		lines := decideAll(cases)

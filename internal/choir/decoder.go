@@ -157,6 +157,7 @@ type Decoder struct {
 	workBuf   []complex128   // cleaned-window workspace
 	maskedBuf []complex128   // masked / re-added tone workspace
 	prefixBuf []complex128   // segmentFit prefix sums (n+1)
+	recip     []float64      // segmentFit reciprocal table 1/i (n+1)
 	prefPrev  []complex128   // accumulateBoundaryScan prefix sums (n+1)
 	prefCur   []complex128
 	prefNext  []complex128

@@ -432,7 +432,7 @@ func (d *Decoder) subtractUsers(wins [][]complex128, users []userEstimate) {
 		for sweep := 0; sweep < 2; sweep++ {
 			for i := range models {
 				// Add this user's current model back.
-				d.addSegments(residual, models[i].f, models[i].h1, models[i].h2, models[i].i0)
+				d.subtractSegments(residual, models[i].f, -models[i].h1, -models[i].h2, models[i].i0)
 				h1, h2, i0 := d.segmentFit(residual, models[i].f/float64(d.n))
 				models[i].h1, models[i].h2, models[i].i0 = h1, h2, i0
 				d.subtractSegments(residual, models[i].f, h1, h2, i0)
@@ -478,28 +478,30 @@ func (d *Decoder) segmentFitRefined(x []complex128, fBins float64) (float64, com
 // segmentFit fits the two-segment tone model h₁·e^{j2πfn} (n < i0) plus
 // h₂·e^{j2πfn} (n >= i0) to x, choosing the boundary i0 that maximizes the
 // explained energy. Thanks to prefix sums the search over all boundaries is
-// O(len(x)). f is in cycles per sample. The prefix-sum buffer persists on
-// the decoder — this is the single hottest routine of a decode.
+// O(len(x)). f is in cycles per sample. The prefix-sum buffer and the
+// reciprocal table persist on the decoder — this is the single hottest
+// routine of a decode.
 func (d *Decoder) segmentFit(x []complex128, f float64) (h1, h2 complex128, i0 int) {
 	n := len(x)
 	// prefix[i] = Σ_{k<i} x[k]·e^{-j2πfk}
 	prefix := c128Buf(&d.prefixBuf, n+1)
 	prefix[0] = 0
+	r := newRotator(-f, 0)
 	for k := 0; k < n; k++ {
-		s, c := math.Sincos(-2 * math.Pi * f * float64(k))
-		prefix[k+1] = prefix[k] + x[k]*complex(c, s)
+		prefix[k+1] = prefix[k] + x[k]*r.next()
 	}
+	recip := d.reciprocals(n)
 	total := prefix[n]
 	best, bestScore := 0, math.Inf(-1)
 	for i := 0; i <= n; i++ {
 		var score float64
 		if i > 0 {
 			p := prefix[i]
-			score += (real(p)*real(p) + imag(p)*imag(p)) / float64(i)
+			score += (real(p)*real(p) + imag(p)*imag(p)) * recip[i]
 		}
 		if i < n {
 			s := total - prefix[i]
-			score += (real(s)*real(s) + imag(s)*imag(s)) / float64(n-i)
+			score += (real(s)*real(s) + imag(s)*imag(s)) * recip[n-i]
 		}
 		if score > bestScore {
 			best, bestScore = i, score
@@ -515,13 +517,25 @@ func (d *Decoder) segmentFit(x []complex128, f float64) (h1, h2 complex128, i0 i
 	return h1, h2, i0
 }
 
-// subtractSegments removes the two-segment tone model from x in place.
-// f is in bins; the boundary index splits the h1 and h2 regions.
+// reciprocals returns the table 1/i for i in [0, n] (entry 0 unused),
+// rebuilt only when the window length changes.
+func (d *Decoder) reciprocals(n int) []float64 {
+	if len(d.recip) != n+1 {
+		recip := f64Buf(&d.recip, n+1)
+		for i := 1; i <= n; i++ {
+			recip[i] = 1 / float64(i)
+		}
+	}
+	return d.recip
+}
+
+// subtractSegments removes the two-segment tone model from x in place;
+// negated gains re-add it. f is in bins; the boundary index splits the h1
+// and h2 regions.
 func (d *Decoder) subtractSegments(x []complex128, fBins float64, h1, h2 complex128, i0 int) {
-	f := fBins / float64(d.n)
+	r := newRotator(fBins/float64(d.n), 0)
 	for i := range x {
-		s, c := math.Sincos(2 * math.Pi * f * float64(i))
-		tone := complex(c, s)
+		tone := r.next()
 		if i < i0 {
 			x[i] -= h1 * tone
 		} else {
@@ -530,25 +544,12 @@ func (d *Decoder) subtractSegments(x []complex128, fBins float64, h1, h2 complex
 	}
 }
 
-// addSegments re-adds a previously subtracted two-segment model.
-func (d *Decoder) addSegments(x []complex128, fBins float64, h1, h2 complex128, i0 int) {
-	f := fBins / float64(d.n)
-	for i := range x {
-		s, c := math.Sincos(2 * math.Pi * f * float64(i))
-		tone := complex(c, s)
-		if i < i0 {
-			x[i] += h1 * tone
-		} else {
-			x[i] += h2 * tone
-		}
-	}
-}
-
-// subtractTone removes h·e^{j2πfn} from x in place (f in cycles/sample).
+// subtractTone removes h·e^{j2πfn} from x in place (f in cycles/sample);
+// a negated h re-adds it.
 func subtractTone(x []complex128, f float64, h complex128) {
+	r := newRotator(f, 0)
 	for i := range x {
-		s, c := math.Sincos(2 * math.Pi * f * float64(i))
-		x[i] -= h * complex(c, s)
+		x[i] -= h * r.next()
 	}
 }
 
@@ -563,10 +564,9 @@ func (d *Decoder) fitChannels(dech []complex128, offsets []float64) []complex128
 	}
 	e := d.lsWS.DesignMatrix(d.n, k)
 	for j, f := range offsets {
-		cyc := f / float64(d.n)
+		r := newRotator(f/float64(d.n), 0)
 		for i := 0; i < d.n; i++ {
-			s, c := math.Sincos(2 * math.Pi * cyc * float64(i))
-			e.Set(i, j, complex(c, s))
+			e.Set(i, j, r.next())
 		}
 	}
 	hs, err := d.lsWS.LeastSquaresInto(e, dech)
@@ -583,29 +583,12 @@ func (d *Decoder) fitChannels(dech []complex128, offsets []float64) []complex128
 
 // matchedFilter correlates x with a unit tone at f cycles/sample.
 func matchedFilter(x []complex128, f float64) complex128 {
+	r := newRotator(-f, 0)
 	var sum complex128
-	for i, v := range x {
-		s, c := math.Sincos(-2 * math.Pi * f * float64(i))
-		sum += v * complex(c, s)
+	for _, v := range x {
+		sum += v * r.next()
 	}
 	return sum / complex(float64(len(x)), 0)
-}
-
-// residual computes R(f₁..f_k) of Eqn. 3: the energy left after subtracting
-// the least-squares reconstruction at the hypothesized offsets.
-func (d *Decoder) residual(dech []complex128, offsets []float64) float64 {
-	hs := d.fitChannels(dech, offsets)
-	var res float64
-	for i, v := range dech {
-		var model complex128
-		for j, f := range offsets {
-			s, c := math.Sincos(2 * math.Pi * f / float64(d.n) * float64(i))
-			model += hs[j] * complex(c, s)
-		}
-		diff := v - model
-		res += real(diff)*real(diff) + imag(diff)*imag(diff)
-	}
-	return res
 }
 
 // refineOffsets refines each user's offset to a small fraction of a bin by
@@ -635,7 +618,7 @@ func (d *Decoder) refineOffsets(dech []complex128, coarse []float64) ([]float64,
 	const sweeps = 2
 	for s := 0; s < sweeps; s++ {
 		for i := 0; i < k; i++ {
-			d.addSegments(residual, offs[i], models[i].h1, models[i].h2, models[i].i0)
+			d.subtractSegments(residual, offs[i], -models[i].h1, -models[i].h2, models[i].i0)
 			f, h1, h2, i0 := d.segmentFitRefined(residual, offs[i])
 			offs[i] = f
 			models[i] = segModel{h1: h1, h2: h2, i0: i0}
@@ -655,35 +638,6 @@ func (d *Decoder) refineOffsets(dech []complex128, coarse []float64) ([]float64,
 		i0s[i] = models[i].i0
 	}
 	return offs, hs, i0s
-}
-
-// goldenSection minimizes the residual as a function of offsets[j] over
-// [lo, hi] with the other offsets fixed.
-func (d *Decoder) goldenSection(dech []complex128, offsets []float64, j int, lo, hi float64) float64 {
-	const phi = 0.6180339887498949
-	eval := func(f float64) float64 {
-		old := offsets[j]
-		offsets[j] = f
-		r := d.residual(dech, offsets)
-		offsets[j] = old
-		return r
-	}
-	a, b := lo, hi
-	x1 := b - phi*(b-a)
-	x2 := a + phi*(b-a)
-	f1, f2 := eval(x1), eval(x2)
-	for i := 0; i < d.cfg.FineIters; i++ {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - phi*(b-a)
-			f1 = eval(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + phi*(b-a)
-			f2 = eval(x2)
-		}
-	}
-	return (a + b) / 2
 }
 
 // circularMean averages angles expressed as bin positions on a circle of the

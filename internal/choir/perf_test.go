@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"choir/internal/lora"
 )
 
 // equalResults fails the test unless a and b are bit-identical decode
@@ -198,3 +200,31 @@ func BenchmarkDecodeSteadyState(b *testing.B) {
 		b.Fatal("unreachable; keeps res live")
 	}
 }
+
+// BenchmarkSegmentFitRefined measures the golden-section two-segment fit —
+// FineIters+3 segmentFit calls — on one dechirped preamble window of a
+// single-user SF7 and SF8 frame: the decoder's offset-refinement layer on
+// its own.
+func BenchmarkSegmentFitRefined(b *testing.B) {
+	for _, sf := range []lora.SpreadingFactor{lora.SF7, lora.SF8} {
+		b.Run(sf.String(), func(b *testing.B) {
+			spec := defaultSpec(1, 9)
+			spec.params.SF = sf
+			sig := synthesize(b, spec)
+			d := MustNew(DefaultConfig(spec.params))
+			res, err := d.Decode(sig, len(spec.payloads[0]))
+			if err != nil || len(res.Users) == 0 {
+				b.Fatalf("reference decode failed: %v", err)
+			}
+			win := append([]complex128(nil), d.dechirpWindow(sig, 0)...)
+			f := res.Users[0].Offset
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fitSink, _, _, _ = d.segmentFitRefined(win, f)
+			}
+		})
+	}
+}
+
+var fitSink float64

@@ -278,20 +278,8 @@ func (d *Decoder) SubtractDecodedUsers(samples []complex128, res *Result, payloa
 			}
 			ha, hb, i0, fHead, fTail := d.splitTwoToneFit(dech,
 				toneOf(symbolAt(u, w-1)), toneOf(cur), toneOf(symbolAt(u, w+1)))
-			for i := 0; i < d.n; i++ {
-				var h complex128
-				var f float64
-				if i < i0 {
-					h, f = ha, fHead
-				} else {
-					h, f = hb, fTail
-				}
-				if f < 0 {
-					continue
-				}
-				s, c := math.Sincos(2 * math.Pi * f / float64(d.n) * float64(i))
-				win[i] -= h * complex(c, s) * up[i]
-			}
+			subtractChirpTone(win[:i0], up[:i0], fHead/float64(d.n), ha, 0)
+			subtractChirpTone(win[i0:], up[i0:], fTail/float64(d.n), hb, i0)
 		}
 	}
 	return out
@@ -325,11 +313,10 @@ func (d *Decoder) splitScore(x []complex128, fa, fb float64) (score float64, ha,
 	prefA := c128Buf(&d.prefA, n+1)
 	prefB := c128Buf(&d.prefB, n+1)
 	prefA[0], prefB[0] = 0, 0
+	ra, rb := newRotator(-fa, 0), newRotator(-fb, 0)
 	for k := 0; k < n; k++ {
-		sa, ca := math.Sincos(-2 * math.Pi * fa * float64(k))
-		sb, cb := math.Sincos(-2 * math.Pi * fb * float64(k))
-		prefA[k+1] = prefA[k] + x[k]*complex(ca, sa)
-		prefB[k+1] = prefB[k] + x[k]*complex(cb, sb)
+		prefA[k+1] = prefA[k] + x[k]*ra.next()
+		prefB[k+1] = prefB[k] + x[k]*rb.next()
 	}
 	score = math.Inf(-1)
 	for i := 0; i <= n; i++ {
@@ -353,4 +340,16 @@ func (d *Decoder) splitScore(x []complex128, fa, fb float64) (score float64, ha,
 		hb = (prefB[n] - prefB[i0]) / complex(float64(n-i0), 0)
 	}
 	return score, ha, hb, i0
+}
+
+// subtractChirpTone removes h·e^{j2πf(start+i)}·up[i] from win[i], the
+// re-chirped tone of one split segment; f < 0 means no tone.
+func subtractChirpTone(win, up []complex128, f float64, h complex128, start int) {
+	if f < 0 {
+		return
+	}
+	r := newRotator(f, start)
+	for i := range win {
+		win[i] -= h * r.next() * up[i]
+	}
 }
