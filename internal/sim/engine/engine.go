@@ -369,6 +369,12 @@ type core struct {
 	capacity  int
 	unslotted bool
 	logq      float64 // ln(1 - ArrivalPerSlot), for geometric gaps
+	// uSkip is the arrival uniform above which a node's first gap surely
+	// lands at or past the horizon, so initArrivals can prune it without
+	// the log: the cut -expm1(Slots·logq) widened by a relative 1e-9, far
+	// beyond the few-ulp error of either side. Above 1 (no skip) when
+	// traffic is off or saturated, or when the cut is too close to 1.
+	uSkip float64
 
 	// Topology: nodes on a jittered grid×grid layout over a sideM square,
 	// gateways on their own gwX×gwY grid at cell centers.
@@ -457,8 +463,10 @@ func newCore(cfg Config) *core {
 	if c.capacity < 1 {
 		c.capacity = 1
 	}
+	c.uSkip = 2
 	if p := cfg.ArrivalPerSlot; p > 0 && p < 1 {
 		c.logq = math.Log1p(-p)
+		c.uSkip = -math.Expm1(float64(cfg.Slots)*c.logq) * (1 + 1e-9)
 	}
 	c.cellM = c.sideM / float64(c.grid)
 	for g := 0; g < cfg.Gateways; g++ {
@@ -550,22 +558,47 @@ func (c *core) arrivalGap(i int32, idx uint64) int64 {
 	if c.cfg.ArrivalPerSlot >= 1 {
 		return 0
 	}
-	u := unitOf(exec.Mix(exec.Mix(c.hArrival, uint64(i)), idx))
-	// floor(ln(1-u)/ln(1-p)): the standard geometric inverse-CDF. Both
-	// logs are <= 0, so the ratio is a finite non-negative count.
+	return c.gapOf(c.arrivalU(i, idx))
+}
+
+// arrivalU is the uniform behind node i's arrival gap number idx.
+func (c *core) arrivalU(i int32, idx uint64) float64 {
+	return unitOf(exec.Mix(exec.Mix(c.hArrival, uint64(i)), idx))
+}
+
+// gapOf maps an arrival uniform to its geometric gap:
+// floor(ln(1-u)/ln(1-p)), the standard inverse-CDF. Both logs are <= 0,
+// so the ratio is a finite non-negative count.
+func (c *core) gapOf(u float64) int64 {
 	return int64(math.Log1p(-u) / c.logq)
 }
 
+// firstGapOf is gapOf for a node's first arrival, except that a uniform
+// above uSkip returns the horizon (a pruned wake) without evaluating the
+// log. Uniforms at or below uSkip take the exact path, so the result is
+// below the horizon exactly when gapOf's is, and then equals it.
+func (c *core) firstGapOf(u float64) int64 {
+	if u > c.uSkip {
+		return c.slots
+	}
+	return c.gapOf(u)
+}
+
 // initArrivals seeds every node's first arrival. With no traffic the whole
-// city stays asleep (nextArrival, nextTx both -1 via zero→-1 init).
+// city stays asleep (nextArrival, nextTx both -1 via zero→-1 init). At
+// city sparsity most first arrivals land past the horizon; firstGapOf
+// prunes those without the log.
 func (c *core) initArrivals(i int32) {
 	ns := &c.nodes[i]
 	ns.nextTx = -1
-	if c.cfg.ArrivalPerSlot <= 0 {
+	switch {
+	case c.cfg.ArrivalPerSlot <= 0:
 		ns.nextArrival = -1
-		return
+	case c.cfg.ArrivalPerSlot >= 1:
+		ns.nextArrival = 0
+	default:
+		ns.nextArrival = c.firstGapOf(c.arrivalU(i, 0))
 	}
-	ns.nextArrival = c.arrivalGap(i, 0)
 }
 
 // resolveChannel lazily evaluates node i's channel state on first wake:

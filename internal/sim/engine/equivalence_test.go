@@ -102,6 +102,45 @@ func TestEventSlotEquivalence(t *testing.T) {
 	}
 }
 
+// TestEventSlotEquivalenceCitySparse holds the event driver to the slot
+// reference at city-like sparsity, which randomConfig's small dense cities
+// never reach: most first arrivals land past the horizon (so initArrivals
+// prunes them without the log), calendar buckets are mostly empty, and
+// with a capacity of 1 per group both the fused fast path and the
+// tentative/grant path run, the grant clamping shards' successes, under
+// foreign interference.
+func TestEventSlotEquivalenceCitySparse(t *testing.T) {
+	cfg := Config{
+		Scheme:         mac.SchemeChoir,
+		Driver:         DriverSlot,
+		Nodes:          20_000,
+		Gateways:       4,
+		Slots:          300,
+		ArrivalPerSlot: 2e-4,
+		PayloadLen:     12,
+		Receiver:       mac.ModelReceiver{Success: []float64{1, 0.9, 0.7, 0.5}, MaxConcurrent: 1},
+		Foreign:        []ForeignConfig{{Nodes: 20_000, ArrivalPerSlot: 2e-4}},
+		Seed:           0x5BA75E,
+	}
+	want := mustRun(t, cfg)
+	if want.Delivered == 0 || want.CollidedTx == 0 || want.ForeignTx == 0 {
+		t.Fatalf("degenerate scenario pins nothing: %+v", want)
+	}
+	if want.Arrivals*4 > int64(cfg.Nodes) {
+		t.Fatalf("%d arrivals from %d nodes is not city-sparse", want.Arrivals, cfg.Nodes)
+	}
+	for _, sw := range []struct{ shards, workers int }{{8, 4}, {1, 1}} {
+		got := cfg
+		got.Driver = DriverEvent
+		got.Shards = sw.shards
+		got.Workers = sw.workers
+		if m := mustRun(t, got); !reflect.DeepEqual(m, want) {
+			t.Fatalf("event driver (S=%d W=%d) diverged from slot reference\nslot:  %+v\nevent: %+v",
+				sw.shards, sw.workers, want, m)
+		}
+	}
+}
+
 // TestShardCountDeterminism pins S=1 ≡ S=8 (and W=1 ≡ W=4) directly on
 // the event driver at a size where shard boundaries cut through active
 // node ranges; it runs under -race in CI, so it also shakes out data

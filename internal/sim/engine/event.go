@@ -14,15 +14,15 @@ import (
 // range is a horizontal band of the city) and never touch each other's
 // nodes, so every phase below fans out without locks.
 type shardState struct {
-	q     *EventQueue
-	base  int32 // first global node ID of the range
-	m     Metrics
-	tx    []int32 // this slot's transmitters, ascending global node IDs
-	bern  []bool  // per-tx tentative Bernoulli outcome (slow path only)
-	count map[uint32]int32
-	tent  map[uint32]int32
-	grant map[uint32]int32
-	taken map[uint32]int32
+	q    *EventQueue
+	base int32 // first global node ID of the range
+	m    Metrics
+	tx   []int32 // this slot's transmitters, ascending global node IDs
+	bern []bool  // per-tx tentative Bernoulli outcome (slow path only)
+	// Per-group tallies, indexed by groupOf (gw<<3 | sfIdx) and sized
+	// Gateways*8: this slot's transmitters, tentative successes, capacity
+	// grant, and successes kept so far.
+	count, tent, grant, taken []int32
 }
 
 // reschedule re-queues node i's next wake after its state changed,
@@ -47,16 +47,17 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 	nodes := c.cfg.Nodes
 	pool := exec.NewPool(c.cfg.Workers)
 
+	groups := c.cfg.Gateways * 8
 	shards := make([]shardState, nShards)
 	pool.ForEach(nShards, func(si int) {
 		sh := &shards[si]
 		sh.base = int32(si * nodes / nShards)
 		end := int32((si + 1) * nodes / nShards)
 		sh.q = NewEventQueue(int(end - sh.base))
-		sh.count = map[uint32]int32{}
-		sh.tent = map[uint32]int32{}
-		sh.grant = map[uint32]int32{}
-		sh.taken = map[uint32]int32{}
+		sh.count = make([]int32, groups)
+		sh.tent = make([]int32, groups)
+		sh.grant = make([]int32, groups)
+		sh.taken = make([]int32, groups)
 		for i := sh.base; i < end; i++ {
 			c.initArrivals(i)
 			if w := c.nodes[i].wakeOf(); w >= 0 && w < c.slots {
@@ -66,9 +67,9 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 	})
 
 	var (
-		totalK      = map[uint32]int32{}
-		lastCounts  = map[uint32]int32{}
-		probs       = map[uint32]float64{}
+		totalK      = make([]int32, groups)
+		lastCounts  = make([]int32, groups)
+		probs       = make([]float64, groups)
 		lastSlot    = int64(-2)
 		activeSlots = int64(0)
 		fsl         foreignSlot
@@ -132,15 +133,18 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 			}
 		}
 		maxK := int32(0)
-		clear(probs)
 		if c.foreignOn {
 			fsl.beginSlot()
 		}
+		// Only groups with transmitters are evaluated: the foreign draws
+		// (and Metrics.ForeignTx) cover exactly the gateways the serial
+		// reference asks about.
 		for g, k := range totalK {
-			if k > maxK {
-				maxK = k
+			if k == 0 {
+				continue
 			}
-			probs[g] = c.groupProb(&fsl, g, k, s)
+			maxK = max(maxK, k)
+			probs[g] = c.groupProb(&fsl, uint32(g), k, s)
 		}
 		prevContig := lastSlot == s-1
 
@@ -183,7 +187,10 @@ func runEvent(ctx context.Context, c *core, lp *liveProgress) (*Metrics, error) 
 			// ascending ID ranges, so walking them in index order and
 			// granting each min(successes, remaining) reproduces exactly
 			// the prefix the serial reference driver keeps.
-			for g := range totalK {
+			for g, k := range totalK {
+				if k == 0 {
+					continue
+				}
 				remaining := int32(c.capacity)
 				for si := range shards {
 					sh := &shards[si]

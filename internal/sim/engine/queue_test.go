@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// modelQueue is the sort-based reference the heap is checked against: a
+// modelQueue is the sort-based reference the queue is checked against: a
 // plain map of scheduled wakes, popped by scanning for the (slot, id)
 // minimum.
 type modelQueue map[int32]int64
@@ -171,4 +171,160 @@ func FuzzEventQueue(f *testing.F) {
 			}
 		}
 	})
+}
+
+// setBoth schedules (or, with slot < 0, cancels) id in the queue and the
+// model alike.
+func setBoth(q *EventQueue, model modelQueue, id int32, slot int64) {
+	q.Set(id, slot)
+	if slot < 0 {
+		delete(model, id)
+	} else {
+		model[id] = slot
+	}
+}
+
+// popBoth pops the queue's minimum and checks it against the model's.
+func popBoth(t *testing.T, q *EventQueue, model modelQueue) {
+	t.Helper()
+	wantID, wantSlot, _ := model.minEntry()
+	if id, slot := q.PopMin(); id != wantID || slot != wantSlot {
+		t.Fatalf("PopMin = (%d,%d), want (%d,%d)", id, slot, wantID, wantSlot)
+	}
+	delete(model, wantID)
+}
+
+// TestEventQueueDrainingBucket sets wakes into the bucket PopMin is
+// draining: it was sorted on its first pop, so a new entry below, between
+// and above the survivors must still come out in ascending node order.
+func TestEventQueueDrainingBucket(t *testing.T) {
+	q := NewEventQueue(32)
+	model := modelQueue{}
+	for _, id := range []int32{20, 4, 12, 28, 8} {
+		setBoth(q, model, id, 3)
+	}
+	popBoth(t, q, model) // sorts slot 3, pops 4
+	popBoth(t, q, model) // 8
+	for _, id := range []int32{30, 1, 10, 24} {
+		setBoth(q, model, id, 3)
+	}
+	popBoth(t, q, model) // 1, which now precedes the sorted survivors
+	setBoth(q, model, 11, 3)
+	setBoth(q, model, 0, 4)
+	checkAgainstModel(t, q, model)
+}
+
+// TestEventQueueSetBelowCursor moves the cursor forward with pops, then
+// schedules wakes behind it: MinSlot and PopMin must go back for them.
+func TestEventQueueSetBelowCursor(t *testing.T) {
+	q := NewEventQueue(16)
+	model := modelQueue{}
+	setBoth(q, model, 1, 10)
+	setBoth(q, model, 2, 40)
+	setBoth(q, model, 3, 40)
+	popBoth(t, q, model)
+	if got := q.MinSlot(); got != 40 {
+		t.Fatalf("MinSlot = %d, want 40", got)
+	}
+	popBoth(t, q, model) // the cursor now sits on 40
+	setBoth(q, model, 5, 7)
+	setBoth(q, model, 4, 39)
+	setBoth(q, model, 6, 0)
+	checkAgainstModel(t, q, model)
+
+	// An emptied queue restarts wherever the next wake lands.
+	setBoth(q, model, 9, 100)
+	setBoth(q, model, 8, 2)
+	checkAgainstModel(t, q, model)
+}
+
+// TestEventQueueCancelWithinBucket cancels the head, a middle entry and
+// the tail of one bucket, both while it is in insertion order and after a
+// pop has sorted it, and moves one entry to another slot.
+func TestEventQueueCancelWithinBucket(t *testing.T) {
+	for _, sortFirst := range []bool{false, true} {
+		q := NewEventQueue(16)
+		model := modelQueue{}
+		for id := int32(0); id < 9; id++ {
+			setBoth(q, model, (id*5)%9, 2) // insertion order 0 5 1 6 2 7 3 8 4
+		}
+		if sortFirst {
+			setBoth(q, model, 15, 2)
+			popBoth(t, q, model) // sorts slot 2, pops 0
+		}
+		// The list head is the last insertion (4) or, once sorted, the
+		// smallest survivor (1); the tail is the first insertion (0) or the
+		// largest survivor (15).
+		for _, id := range []int32{4, 1, 7, 0, 15} {
+			setBoth(q, model, id, -1)
+		}
+		setBoth(q, model, 6, 1) // move a middle entry to an earlier slot
+		if q.Len() != len(model) {
+			t.Fatalf("sorted=%v: Len = %d, model has %d", sortFirst, q.Len(), len(model))
+		}
+		checkAgainstModel(t, q, model)
+	}
+}
+
+// TestEventQueueFarApart schedules wakes a million slots apart: the
+// cursor must walk the empty buckets between them and the queue must end
+// empty.
+func TestEventQueueFarApart(t *testing.T) {
+	q := NewEventQueue(4)
+	model := modelQueue{}
+	setBoth(q, model, 3, 1<<20)
+	setBoth(q, model, 1, 0)
+	setBoth(q, model, 2, 1<<20)
+	checkAgainstModel(t, q, model)
+}
+
+// queueRound is one round of the queue benchmark: Set every ID to its
+// slot, then PopMin until empty.
+func queueRound(q *EventQueue, slots []int64) {
+	for i, s := range slots {
+		q.Set(int32(i), s)
+	}
+	for q.Len() > 0 {
+		q.PopMin()
+	}
+}
+
+// queueBenchSlots draws n wake slots in [0, 4096), the shape perfbench's
+// engine.queue_op_ns times.
+func queueBenchSlots(n int) []int64 {
+	rng := rand.New(rand.NewPCG(7, 0x9E))
+	slots := make([]int64, n)
+	for i := range slots {
+		slots[i] = rng.Int64N(4096)
+	}
+	return slots
+}
+
+// TestEventQueueZeroAlloc pins that, once a round has grown the buckets,
+// Set and PopMin never allocate.
+func TestEventQueueZeroAlloc(t *testing.T) {
+	slots := queueBenchSlots(1 << 12)
+	q := NewEventQueue(len(slots))
+	queueRound(q, slots)
+	if a := testing.AllocsPerRun(5, func() { queueRound(q, slots) }); a != 0 {
+		t.Fatalf("a warm round allocated %.1f times", a)
+	}
+}
+
+// BenchmarkEventQueue is the in-package twin of perfbench's
+// engine.queue_op_ns: Set then PopMin over every ID, wakes uniform in
+// [0, 4096). queue_op_ns is the mean cost of one Set or PopMin.
+func BenchmarkEventQueue(b *testing.B) {
+	slots := queueBenchSlots(1 << 16)
+	q := NewEventQueue(len(slots))
+	queueRound(q, slots) // warm-up: grows the buckets
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		queueRound(q, slots)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*len(slots)*b.N), "queue_op_ns")
+	if a := testing.AllocsPerRun(1, func() { queueRound(q, slots) }); a != 0 {
+		b.Fatalf("a warm round allocated %.1f times", a)
+	}
 }
